@@ -36,12 +36,13 @@
 //                 varint deferred_txs
 //
 // Every field is simulated-time data: trace content is a pure function of
-// the run's seeds and bit-identical across engines at any sim_jobs
-// (determinism rule 9). No wall-clock value is ever encoded.
+// the run's seeds (determinism rule 9). No wall-clock value is ever encoded.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+#include "trace/trace_format.hpp"
 
 namespace optchain::obs {
 
@@ -70,11 +71,8 @@ enum class TraceRecordType : std::uint8_t {
   kRepartition = 8,  ///< online re-partition tick applied
 };
 
-/// One footer-index entry: where a chunk lives and what it holds.
-struct OtraceChunkInfo {
-  std::uint64_t offset = 0;       ///< file offset of the chunk frame
-  std::uint64_t first_index = 0;  ///< absolute index of the first record
-  std::uint64_t count = 0;        ///< records in the chunk
-};
+/// One footer-index entry: where a chunk lives and what it holds (the
+/// OPTX v2 entry; `first_index` and `count` count records here).
+using OtraceChunkInfo = trace::ChunkInfo;
 
 }  // namespace optchain::obs

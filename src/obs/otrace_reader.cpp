@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "trace/chunk_index.hpp"
 #include "txmodel/serialization.hpp"
 
 namespace optchain::obs {
@@ -13,14 +14,10 @@ namespace {
   throw std::runtime_error("otrace reader: " + path + ": " + what);
 }
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+/// Smallest encodings of one sample entry: a queue size is one varint; a
+/// link sample is a varint endpoint, an f64 backlog and a varint drop count.
+constexpr std::size_t kQueueEntryMinBytes = 1;
+constexpr std::size_t kLinkEntryMinBytes = 1 + 8 + 1;
 
 }  // namespace
 
@@ -53,50 +50,17 @@ OtraceReader::OtraceReader(const std::string& path)
       static_cast<std::uint32_t>(tx::read_varint(header_span, offset));
   if (chunk_capacity_ == 0) fail(path_, "corrupt header (chunk_capacity 0)");
 
-  // Trailer → footer → chunk index.
-  if (file_size < 4 + kOtraceTrailerBytes) fail(path_, "truncated file");
-  std::uint8_t trailer[kOtraceTrailerBytes] = {};
-  file_.clear();
-  file_.seekg(static_cast<std::streamoff>(file_size - kOtraceTrailerBytes),
-              std::ios::beg);
-  file_.read(reinterpret_cast<char*>(trailer), kOtraceTrailerBytes);
-  if (!file_ || !std::equal(trailer + 8, trailer + 12, kOtraceTrailerMagic)) {
-    fail(path_, "bad trailer (unfinished or corrupt trace)");
-  }
-  std::uint64_t footer_offset = 0;
-  for (int i = 7; i >= 0; --i) {
-    footer_offset = (footer_offset << 8) | trailer[i];
-  }
-  if (footer_offset >= file_size - kOtraceTrailerBytes) {
-    fail(path_, "corrupt trailer (footer offset past file end)");
-  }
-
-  const std::size_t footer_bytes =
-      static_cast<std::size_t>(file_size - kOtraceTrailerBytes - footer_offset);
-  std::vector<std::uint8_t> footer(footer_bytes);
-  file_.seekg(static_cast<std::streamoff>(footer_offset), std::ios::beg);
-  file_.read(reinterpret_cast<char*>(footer.data()),
-             static_cast<std::streamsize>(footer_bytes));
-  if (!file_) fail(path_, "footer read failed");
+  // Trailer → footer → chunk index, validated by the parser the OPTX
+  // reader shares.
   try {
-    std::size_t cursor = 0;
-    const std::uint64_t n_chunks = tx::read_varint(footer, cursor);
-    chunks_.reserve(n_chunks);
-    for (std::uint64_t c = 0; c < n_chunks; ++c) {
-      OtraceChunkInfo info;
-      info.offset = tx::read_varint(footer, cursor);
-      info.first_index = tx::read_varint(footer, cursor);
-      info.count = tx::read_varint(footer, cursor);
-      chunks_.push_back(info);
-    }
-    total_ = tx::read_varint(footer, cursor);
-  } catch (const std::exception&) {
-    fail(path_, "corrupt footer index");
+    index_ = trace::read_chunk_index(file_, file_size, kOtraceTrailerMagic);
+  } catch (const std::runtime_error& error) {
+    fail(path_, error.what());
   }
 }
 
 void OtraceReader::load_chunk(std::size_t chunk) {
-  const OtraceChunkInfo& info = chunks_[chunk];
+  const OtraceChunkInfo& info = index_.chunks[chunk];
   file_.clear();
   file_.seekg(static_cast<std::streamoff>(info.offset), std::ios::beg);
 
@@ -115,11 +79,18 @@ void OtraceReader::load_chunk(std::size_t chunk) {
     fail(path_, "corrupt chunk frame");
   }
   if (count != info.count) fail(path_, "chunk count mismatch vs footer");
+  // Bound the claim by the frame's slot before allocating for it: the
+  // payload (and its checksum) must end before the next chunk or footer.
+  const std::uint64_t payload_start = info.offset + cursor;
+  const std::uint64_t frame_end = index_.frame_end(chunk);
+  if (payload_start >= frame_end ||
+      payload_bytes >= frame_end - payload_start) {
+    fail(path_, "chunk payload size overruns the chunk frame");
+  }
 
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.clear();
-  file_.seekg(static_cast<std::streamoff>(info.offset + cursor),
-              std::ios::beg);
+  file_.seekg(static_cast<std::streamoff>(payload_start), std::ios::beg);
   file_.read(reinterpret_cast<char*>(buffer_.data()),
              static_cast<std::streamsize>(payload_bytes));
   if (static_cast<std::uint64_t>(file_.gcount()) != payload_bytes) {
@@ -138,7 +109,7 @@ void OtraceReader::load_chunk(std::size_t chunk) {
   } catch (const std::exception&) {
     fail(path_, "corrupt chunk checksum");
   }
-  if (stored != fnv1a64(buffer_)) {
+  if (stored != trace::fnv1a64(buffer_)) {
     fail(path_, "chunk checksum mismatch (corrupt trace)");
   }
 
@@ -148,6 +119,16 @@ void OtraceReader::load_chunk(std::size_t chunk) {
 
 std::uint64_t OtraceReader::read_payload_varint() {
   return tx::read_varint(buffer_, buffer_offset_);
+}
+
+std::uint64_t OtraceReader::read_payload_count(std::size_t min_entry_bytes) {
+  const std::uint64_t n = read_payload_varint();
+  const std::size_t left =
+      buffer_offset_ < buffer_.size() ? buffer_.size() - buffer_offset_ : 0;
+  if (n > left / min_entry_bytes) {
+    fail(path_, "record entry count exceeds the chunk payload");
+  }
+  return n;
 }
 
 double OtraceReader::read_payload_f64() {
@@ -164,17 +145,14 @@ double OtraceReader::read_payload_f64() {
 }
 
 bool OtraceReader::next(TraceRecord& out) {
-  if (next_index_ >= total_) return false;
+  if (next_index_ >= index_.total) return false;
 
   // Locate the chunk holding next_index_ (records decode in order, so this
   // is almost always the current chunk or the one after it).
   if (current_chunk_ == SIZE_MAX ||
-      next_index_ >=
-          chunks_[current_chunk_].first_index + chunks_[current_chunk_].count) {
-    const std::size_t target =
-        current_chunk_ == SIZE_MAX ? 0 : current_chunk_ + 1;
-    if (target >= chunks_.size()) fail(path_, "footer/total mismatch");
-    load_chunk(target);
+      next_index_ >= index_.chunks[current_chunk_].first_index +
+                         index_.chunks[current_chunk_].count) {
+    load_chunk(current_chunk_ == SIZE_MAX ? 0 : current_chunk_ + 1);
   }
 
   out = TraceRecord{};
@@ -203,7 +181,7 @@ bool OtraceReader::next(TraceRecord& out) {
         break;
       case TraceRecordType::kQueueSample: {
         out.time = read_payload_f64();
-        const std::uint64_t n = read_payload_varint();
+        const std::uint64_t n = read_payload_count(kQueueEntryMinBytes);
         out.queues.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           out.queues.push_back(read_payload_varint());
@@ -212,7 +190,7 @@ bool OtraceReader::next(TraceRecord& out) {
       }
       case TraceRecordType::kLinkSample: {
         out.time = read_payload_f64();
-        const std::uint64_t n = read_payload_varint();
+        const std::uint64_t n = read_payload_count(kLinkEntryMinBytes);
         out.links.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           TraceRecord::Link link;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/otrace_format.hpp"
+#include "trace/chunk_index.hpp"
 
 namespace optchain::obs {
 
@@ -60,14 +61,15 @@ struct TraceSummary {
 /// Streaming decoder over an on-disk .otrace container.
 class OtraceReader {
  public:
-  /// Opens and validates `path` (magic, version, trailer, footer index).
-  /// Throws std::runtime_error on I/O failure or a malformed container.
+  /// Opens and validates `path` (magic, version, trailer, footer index; see
+  /// trace::read_chunk_index). Throws std::runtime_error on I/O failure or a
+  /// malformed container.
   explicit OtraceReader(const std::string& path);
 
   /// Total records in the trace (from the footer).
-  std::uint64_t size() const noexcept { return total_; }
+  std::uint64_t size() const noexcept { return index_.total; }
   /// Chunk count.
-  std::uint64_t num_chunks() const noexcept { return chunks_.size(); }
+  std::uint64_t num_chunks() const noexcept { return index_.chunks.size(); }
   /// Nominal records per chunk (from the header).
   std::uint32_t chunk_capacity() const noexcept { return chunk_capacity_; }
 
@@ -81,13 +83,15 @@ class OtraceReader {
  private:
   void load_chunk(std::size_t chunk);
   std::uint64_t read_payload_varint();
+  /// A record's entry count, rejected when `min_entry_bytes` per entry
+  /// cannot fit in the rest of the payload (so reserve() stays bounded).
+  std::uint64_t read_payload_count(std::size_t min_entry_bytes);
   double read_payload_f64();
 
   std::ifstream file_;
   std::string path_;
   std::uint32_t chunk_capacity_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<OtraceChunkInfo> chunks_;
+  trace::ChunkIndex index_;  ///< validated footer index
 
   std::vector<std::uint8_t> buffer_;  ///< current chunk's payload
   std::size_t buffer_offset_ = 0;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "trace/trace_format.hpp"
 #include "txmodel/serialization.hpp"
 
 namespace optchain::obs {
@@ -10,16 +11,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw std::runtime_error("run tracer: " + path + ": " + what);
-}
-
-/// FNV-1a 64 (the OPTX checksum, same constants — see trace_format.hpp).
-std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -159,7 +150,7 @@ void RunTracer::flush_chunk() {
   tx::write_varint(head, chunk_records_);
   tx::write_varint(head, payload_.size());
   std::vector<std::uint8_t> tail;
-  tx::write_varint(tail, fnv1a64(payload_));
+  tx::write_varint(tail, trace::fnv1a64(payload_));
   file_.write(reinterpret_cast<const char*>(head.data()),
               static_cast<std::streamsize>(head.size()));
   file_.write(reinterpret_cast<const char*>(payload_.data()),

@@ -30,9 +30,8 @@ Simulation::Simulation(SimConfig config)
 void Simulation::spawn_shard_node() {
   const auto s = static_cast<std::uint32_t>(shards_.size());
   // Per-shard spawn stream (sim/shard_spawn.hpp): shard s's geography is a
-  // pure function of (sim_seed, s), shared with the parallel engine. An
-  // enabled fabric routes consensus block dissemination over the shard's
-  // access link (pure config — identical in both engines).
+  // pure function of (sim_seed, s). An enabled fabric routes consensus
+  // block dissemination over the shard's access link.
   SpawnedShard spawned = spawn_shard(
       config_.consensus, network_, config_.seed, s,
       config_.fabric.enabled ? config_.fabric.link.bandwidth_bps : 0.0);
@@ -220,8 +219,7 @@ SimResult Simulation::run(workload::TxSource& source,
 void Simulation::on_event(const Event& event) {
   // Shard-addressed events feed the per-shard diagnostics; client-side
   // events (issues, samples, churn) have no shard. Counted by the shard the
-  // message was *addressed* to (pre-churn-resolution), matching the
-  // parallel engine's count at record-merge time.
+  // message was *addressed* to (pre-churn-resolution).
   if (event.type != EventType::kTxIssue &&
       event.type != EventType::kQueueSample &&
       event.type != EventType::kShardChange &&

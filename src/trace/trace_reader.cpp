@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "trace/chunk_index.hpp"
 #include "txmodel/serialization.hpp"
 
 namespace optchain::trace {
@@ -60,60 +61,17 @@ TraceReader::TraceReader(const std::string& path)
   chunk_capacity_ = static_cast<std::uint32_t>(read_varint_stream());
   if (chunk_capacity_ == 0) fail(path_, "corrupt header: chunk_capacity 0");
   file_.seekg(0, std::ios::end);
-  parse_footer(static_cast<std::uint64_t>(file_.tellg()));
-}
-
-void TraceReader::parse_footer(std::uint64_t file_size) {
-  if (file_size < kTrailerBytes) fail(path_, "truncated: no trailer");
-  std::uint8_t trailer[kTrailerBytes] = {};
-  file_.seekg(static_cast<std::streamoff>(file_size - kTrailerBytes));
-  file_.read(reinterpret_cast<char*>(trailer), kTrailerBytes);
-  if (!file_) fail(path_, "trailer read failed");
-  if (std::memcmp(trailer + 8, kTrailerMagic, 4) != 0) {
-    fail(path_, "bad trailer magic (truncated or not a finished trace)");
+  const auto file_size = static_cast<std::uint64_t>(file_.tellg());
+  try {
+    index_ = read_chunk_index(file_, file_size, kTrailerMagic);
+  } catch (const std::runtime_error& error) {
+    fail(path_, error.what());
   }
-  std::uint64_t footer_offset = 0;
-  for (int i = 7; i >= 0; --i) {
-    footer_offset = (footer_offset << 8) | trailer[i];
-  }
-  if (footer_offset >= file_size - kTrailerBytes) {
-    fail(path_, "corrupt trailer: footer offset out of range");
-  }
-
-  std::vector<std::uint8_t> footer(
-      static_cast<std::size_t>(file_size - kTrailerBytes - footer_offset));
-  file_.seekg(static_cast<std::streamoff>(footer_offset));
-  file_.read(reinterpret_cast<char*>(footer.data()),
-             static_cast<std::streamsize>(footer.size()));
-  if (!file_) fail(path_, "footer read failed");
-
-  std::size_t offset = 0;
-  const std::uint64_t n_chunks = tx::read_varint(footer, offset);
-  chunks_.reserve(n_chunks);
-  std::uint64_t expected_first = 0;
-  std::uint64_t previous_end = 0;
-  for (std::uint64_t i = 0; i < n_chunks; ++i) {
-    ChunkInfo chunk;
-    chunk.offset = tx::read_varint(footer, offset);
-    chunk.first_index = tx::read_varint(footer, offset);
-    chunk.count = tx::read_varint(footer, offset);
-    if (chunk.first_index != expected_first || chunk.count == 0 ||
-        chunk.offset < previous_end || chunk.offset >= footer_offset) {
-      fail(path_, "corrupt footer: inconsistent chunk index");
-    }
-    expected_first += chunk.count;
-    previous_end = chunk.offset;
-    chunks_.push_back(chunk);
-  }
-  total_ = tx::read_varint(footer, offset);
-  if (total_ != expected_first) {
-    fail(path_, "corrupt footer: total does not match chunk index");
-  }
-  if (offset != footer.size()) fail(path_, "corrupt footer: trailing bytes");
+  total_ = index_.total;
 }
 
 void TraceReader::load_chunk(std::size_t chunk) {
-  const ChunkInfo& info = chunks_[chunk];
+  const ChunkInfo& info = index_.chunks[chunk];
   file_.clear();
   file_.seekg(static_cast<std::streamoff>(info.offset));
   const std::uint64_t count = read_varint_stream();
@@ -122,6 +80,15 @@ void TraceReader::load_chunk(std::size_t chunk) {
                     ": frame count does not match footer index");
   }
   const std::uint64_t payload_bytes = read_varint_stream();
+  // Bound the claim by the frame's slot before allocating for it: the
+  // payload (and its checksum) must end before the next chunk or footer.
+  const auto payload_start = static_cast<std::uint64_t>(file_.tellg());
+  const std::uint64_t frame_end = index_.frame_end(chunk);
+  if (payload_start >= frame_end ||
+      payload_bytes >= frame_end - payload_start) {
+    fail(path_, "chunk " + std::to_string(chunk) +
+                    ": payload size overruns the chunk frame");
+  }
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.read(reinterpret_cast<char*>(buffer_.data()),
              static_cast<std::streamsize>(buffer_.size()));
@@ -158,17 +125,17 @@ bool TraceReader::next(tx::Transaction& out) {
   // loaded one (sequential reads land on current_chunk_ + 1; a fresh seek
   // may land anywhere).
   if (current_chunk_ == SIZE_MAX ||
-      next_index_ >= chunks_[current_chunk_].first_index +
-                         chunks_[current_chunk_].count ||
-      next_index_ < chunks_[current_chunk_].first_index) {
+      next_index_ >= index_.chunks[current_chunk_].first_index +
+                         index_.chunks[current_chunk_].count ||
+      next_index_ < index_.chunks[current_chunk_].first_index) {
     const auto it = std::upper_bound(
-        chunks_.begin(), chunks_.end(), next_index_,
+        index_.chunks.begin(), index_.chunks.end(), next_index_,
         [](std::uint64_t index, const ChunkInfo& chunk) {
           return index < chunk.first_index;
         });
-    load_chunk(static_cast<std::size_t>(it - chunks_.begin()) - 1);
+    load_chunk(static_cast<std::size_t>(it - index_.chunks.begin()) - 1);
     // A seek may target mid-chunk: skip the intra-chunk prefix.
-    for (std::uint64_t i = chunks_[current_chunk_].first_index;
+    for (std::uint64_t i = index_.chunks[current_chunk_].first_index;
          i < next_index_; ++i) {
       std::size_t offset = buffer_offset_;
       tx::decode_transaction(buffer_, offset, static_cast<tx::TxIndex>(i),
@@ -211,13 +178,13 @@ void TraceReader::seek(std::uint64_t index) {
   // the current cursor); otherwise just invalidate — next() binary-searches
   // the chunk index and loads exactly the target chunk.
   if (current_chunk_ != SIZE_MAX &&
-      index >= chunks_[current_chunk_].first_index &&
-      index < chunks_[current_chunk_].first_index +
-                  chunks_[current_chunk_].count) {
+      index >= index_.chunks[current_chunk_].first_index &&
+      index < index_.chunks[current_chunk_].first_index +
+                  index_.chunks[current_chunk_].count) {
     std::uint64_t from = next_index_;
     if (index < next_index_) {
       buffer_offset_ = 0;
-      from = chunks_[current_chunk_].first_index;
+      from = index_.chunks[current_chunk_].first_index;
     }
     for (std::uint64_t i = from; i < index; ++i) {
       std::size_t offset = buffer_offset_;

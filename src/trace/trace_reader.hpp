@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/chunk_index.hpp"
 #include "trace/trace_format.hpp"
 #include "txmodel/transaction.hpp"
 
@@ -29,8 +30,8 @@ namespace optchain::trace {
 class TraceReader {
  public:
   /// Opens and validates `path` (header, and for v2 the trailer + footer
-  /// index). Throws std::runtime_error on I/O failure, bad magic, an
-  /// unsupported version, or a corrupt footer.
+  /// index; see read_chunk_index). Throws std::runtime_error on I/O failure,
+  /// bad magic, an unsupported version, or a corrupt footer.
   explicit TraceReader(const std::string& path);
 
   /// Container version: 1 (flat) or 2 (chunk-indexed).
@@ -38,9 +39,11 @@ class TraceReader {
   /// Total transactions in the trace.
   std::uint64_t size() const noexcept { return total_; }
   /// Chunk count (v1: 0 — the flat stream has no frames).
-  std::uint64_t num_chunks() const noexcept { return chunks_.size(); }
+  std::uint64_t num_chunks() const noexcept { return index_.chunks.size(); }
   /// The footer chunk index (v1: empty).
-  const std::vector<ChunkInfo>& chunks() const noexcept { return chunks_; }
+  const std::vector<ChunkInfo>& chunks() const noexcept {
+    return index_.chunks;
+  }
   /// Nominal transactions per chunk (v1: 0).
   std::uint32_t chunk_capacity() const noexcept { return chunk_capacity_; }
   /// Absolute index the next next() call will yield.
@@ -63,14 +66,13 @@ class TraceReader {
  private:
   void load_chunk(std::size_t chunk);
   std::uint64_t read_varint_stream();
-  void parse_footer(std::uint64_t file_size);
 
   std::ifstream file_;
   std::string path_;
   std::uint32_t version_ = 0;
   std::uint32_t chunk_capacity_ = 0;
   std::uint64_t total_ = 0;
-  std::vector<ChunkInfo> chunks_;
+  ChunkIndex index_;  ///< v2 footer index (v1: empty)
 
   // Decode cursor. For v2, buffer_ holds the current chunk's payload; for
   // v1 it holds the whole body (raw bytes, not Transactions).

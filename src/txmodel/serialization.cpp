@@ -60,7 +60,10 @@ void decode_transaction(std::span<const std::uint8_t> data,
   out.index = index;
   out.inputs.clear();
   out.outputs.clear();
+  // Every count is checked against the bytes left before it sizes a
+  // reservation: an input and an output each take at least two bytes.
   const std::uint64_t n_inputs = read_varint(data, offset);
+  if (n_inputs > (data.size() - offset) / 2) fail("input count overruns data");
   out.inputs.reserve(n_inputs);
   for (std::uint64_t j = 0; j < n_inputs; ++j) {
     OutPoint point;
@@ -71,6 +74,9 @@ void decode_transaction(std::span<const std::uint8_t> data,
     out.inputs.push_back(point);
   }
   const std::uint64_t n_outputs = read_varint(data, offset);
+  if (n_outputs > (data.size() - offset) / 2) {
+    fail("output count overruns data");
+  }
   out.outputs.reserve(n_outputs);
   for (std::uint64_t j = 0; j < n_outputs; ++j) {
     TxOut txo;
@@ -105,6 +111,8 @@ std::vector<Transaction> decode_transactions(
   std::size_t offset = 4;
   if (read_varint(data, offset) != kVersion) fail("unsupported version");
   const std::uint64_t count = read_varint(data, offset);
+  // A transaction takes at least two bytes (its two counts).
+  if (count > (data.size() - offset) / 2) fail("count overruns data");
 
   std::vector<Transaction> out;
   out.reserve(count);

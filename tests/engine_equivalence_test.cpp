@@ -1,13 +1,12 @@
-// Cross-engine equivalence harness: a standing randomized property test for
-// the repo's core determinism contract — the conservative parallel engine
-// (sim/parallel/) produces a SimResult bit-identical to the sequential
-// engine for *every* configuration, not just the hand-picked ones the other
-// suites pin. Each case draws a small random ScenarioSpec-like operating
-// point (placer × protocol × churn × re-partition × fabric preset ×
-// sim_jobs × stream seed/length) from a fixed-seed PRNG, runs it through
-// both engines, and asserts full-result equality. The draw sequence is
-// deterministic, so a failure reproduces by case index; the SCOPED_TRACE
-// string is the repro recipe. Runs under TSan in CI (label: threaded).
+// Randomized engine property test: the repo's core determinism contract
+// checked over configurations no hand-picked suite pins. Each case draws a
+// small random ScenarioSpec-like operating point (placer × protocol × churn
+// × re-partition × fabric preset × stream seed/length) from a fixed-seed
+// PRNG and runs it twice. Both runs must produce the same SimResult and the
+// same .otrace bytes (determinism rules 1 and 9), the run must drain, and
+// every issued transaction must end committed or aborted. The draw sequence
+// is deterministic, so a failure reproduces by case index; the SCOPED_TRACE
+// string is the repro recipe.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,7 +34,6 @@ struct DrawnCase {
   std::string fabric;
   sim::ProtocolMode protocol = sim::ProtocolMode::kOmniLedger;
   std::uint32_t shards = 0;
-  std::uint32_t jobs = 0;
   std::uint64_t stream_seed = 0;
   std::size_t stream_length = 0;
   double rate_tps = 0.0;
@@ -47,7 +45,6 @@ struct DrawnCase {
            (protocol == sim::ProtocolMode::kOmniLedger ? "omniledger"
                                                        : "rapidchain") +
            " shards=" + std::to_string(shards) +
-           " jobs=" + std::to_string(jobs) +
            " seed=" + std::to_string(stream_seed) +
            " txs=" + std::to_string(stream_length) +
            " rate=" + std::to_string(rate_tps) +
@@ -69,7 +66,6 @@ DrawnCase draw(std::mt19937_64& rng) {
       "OmniLedger", "LeastLoaded", "ShardScheduler"};
   static const std::string kFabrics[] = {"off", "flat", "wan", "congested"};
   static const std::uint32_t kShards[] = {3, 4, 6, 8};
-  static const std::uint32_t kJobs[] = {1, 2, 4};
 
   DrawnCase out;
   out.method = pick(rng, kMethods);
@@ -78,7 +74,6 @@ DrawnCase draw(std::mt19937_64& rng) {
                      ? sim::ProtocolMode::kRapidChain
                      : sim::ProtocolMode::kOmniLedger;
   out.shards = pick(rng, kShards);
-  out.jobs = pick(rng, kJobs);
   out.stream_seed = rng();
   out.stream_length =
       std::uniform_int_distribution<std::size_t>(600, 1800)(rng);
@@ -118,52 +113,48 @@ api::RunSpec spec_of(const DrawnCase& drawn, std::mt19937_64& rng) {
   return spec;
 }
 
-/// Full-result equality; event_heap_peak is the one engine-specific field.
-void expect_equivalent(const sim::SimResult& sequential,
-                       const sim::SimResult& parallel) {
-  EXPECT_EQ(parallel.placer_name, sequential.placer_name);
-  EXPECT_EQ(parallel.total_txs, sequential.total_txs);
-  EXPECT_EQ(parallel.cross_txs, sequential.cross_txs);
-  EXPECT_EQ(parallel.committed_txs, sequential.committed_txs);
-  EXPECT_EQ(parallel.aborted_txs, sequential.aborted_txs);
-  EXPECT_EQ(parallel.completed, sequential.completed);
-  EXPECT_EQ(parallel.total_blocks, sequential.total_blocks);
-  EXPECT_EQ(parallel.total_events, sequential.total_events);
-  EXPECT_DOUBLE_EQ(parallel.duration_s, sequential.duration_s);
-  EXPECT_DOUBLE_EQ(parallel.throughput_tps, sequential.throughput_tps);
-  EXPECT_DOUBLE_EQ(parallel.avg_latency_s, sequential.avg_latency_s);
-  EXPECT_DOUBLE_EQ(parallel.max_latency_s, sequential.max_latency_s);
-  EXPECT_EQ(parallel.shard_event_counts, sequential.shard_event_counts);
-  EXPECT_EQ(parallel.final_shard_sizes, sequential.final_shard_sizes);
-  EXPECT_EQ(parallel.shard_changes, sequential.shard_changes);
-  EXPECT_EQ(parallel.migrated_txs, sequential.migrated_txs);
-  EXPECT_EQ(parallel.migrated_utxos, sequential.migrated_utxos);
-  EXPECT_EQ(parallel.repartition_events, sequential.repartition_events);
-  EXPECT_EQ(parallel.repartition_migrated_txs,
-            sequential.repartition_migrated_txs);
-  EXPECT_EQ(parallel.repartition_migrated_utxos,
-            sequential.repartition_migrated_utxos);
-  EXPECT_EQ(parallel.repartition_deferred_txs,
-            sequential.repartition_deferred_txs);
-  EXPECT_EQ(parallel.link_messages, sequential.link_messages);
-  EXPECT_EQ(parallel.link_drops, sequential.link_drops);
-  EXPECT_DOUBLE_EQ(parallel.link_peak_backlog_s,
-                   sequential.link_peak_backlog_s);
-  EXPECT_EQ(parallel.latencies.count(), sequential.latencies.count());
-  EXPECT_DOUBLE_EQ(parallel.latencies.average(),
-                   sequential.latencies.average());
-  EXPECT_DOUBLE_EQ(parallel.latencies.maximum(),
-                   sequential.latencies.maximum());
-  EXPECT_EQ(parallel.commits_per_window.counts(),
-            sequential.commits_per_window.counts());
+/// Full-result equality of two runs of the same spec.
+void expect_identical(const sim::SimResult& first,
+                      const sim::SimResult& second) {
+  EXPECT_EQ(second.placer_name, first.placer_name);
+  EXPECT_EQ(second.total_txs, first.total_txs);
+  EXPECT_EQ(second.cross_txs, first.cross_txs);
+  EXPECT_EQ(second.committed_txs, first.committed_txs);
+  EXPECT_EQ(second.aborted_txs, first.aborted_txs);
+  EXPECT_EQ(second.completed, first.completed);
+  EXPECT_EQ(second.total_blocks, first.total_blocks);
+  EXPECT_EQ(second.total_events, first.total_events);
+  EXPECT_DOUBLE_EQ(second.duration_s, first.duration_s);
+  EXPECT_DOUBLE_EQ(second.throughput_tps, first.throughput_tps);
+  EXPECT_DOUBLE_EQ(second.avg_latency_s, first.avg_latency_s);
+  EXPECT_DOUBLE_EQ(second.max_latency_s, first.max_latency_s);
+  EXPECT_EQ(second.event_heap_peak, first.event_heap_peak);
+  EXPECT_EQ(second.shard_event_counts, first.shard_event_counts);
+  EXPECT_EQ(second.final_shard_sizes, first.final_shard_sizes);
+  EXPECT_EQ(second.shard_changes, first.shard_changes);
+  EXPECT_EQ(second.migrated_txs, first.migrated_txs);
+  EXPECT_EQ(second.migrated_utxos, first.migrated_utxos);
+  EXPECT_EQ(second.repartition_events, first.repartition_events);
+  EXPECT_EQ(second.repartition_migrated_txs, first.repartition_migrated_txs);
+  EXPECT_EQ(second.repartition_migrated_utxos,
+            first.repartition_migrated_utxos);
+  EXPECT_EQ(second.repartition_deferred_txs, first.repartition_deferred_txs);
+  EXPECT_EQ(second.link_messages, first.link_messages);
+  EXPECT_EQ(second.link_drops, first.link_drops);
+  EXPECT_DOUBLE_EQ(second.link_peak_backlog_s, first.link_peak_backlog_s);
+  EXPECT_EQ(second.latencies.count(), first.latencies.count());
+  EXPECT_DOUBLE_EQ(second.latencies.average(), first.latencies.average());
+  EXPECT_DOUBLE_EQ(second.latencies.maximum(), first.latencies.maximum());
+  EXPECT_EQ(second.commits_per_window.counts(),
+            first.commits_per_window.counts());
 
-  const auto& seq_snaps = sequential.queue_tracker.snapshots();
-  const auto& par_snaps = parallel.queue_tracker.snapshots();
-  ASSERT_EQ(par_snaps.size(), seq_snaps.size());
-  for (std::size_t i = 0; i < seq_snaps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(par_snaps[i].time, seq_snaps[i].time);
-    EXPECT_EQ(par_snaps[i].max_queue, seq_snaps[i].max_queue);
-    EXPECT_EQ(par_snaps[i].min_queue, seq_snaps[i].min_queue);
+  const auto& first_snaps = first.queue_tracker.snapshots();
+  const auto& second_snaps = second.queue_tracker.snapshots();
+  ASSERT_EQ(second_snaps.size(), first_snaps.size());
+  for (std::size_t i = 0; i < first_snaps.size(); ++i) {
+    EXPECT_DOUBLE_EQ(second_snaps[i].time, first_snaps[i].time);
+    EXPECT_EQ(second_snaps[i].max_queue, first_snaps[i].max_queue);
+    EXPECT_EQ(second_snaps[i].min_queue, first_snaps[i].min_queue);
   }
 }
 
@@ -175,7 +166,7 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-TEST(EngineEquivalenceTest, RandomizedSpecsAreBitIdentical) {
+TEST(EngineEquivalenceTest, RandomizedSpecsAreDeterministicAndDrain) {
   // Fixed master seed: the same kCases operating points every run, in every
   // environment. Bump the seed deliberately (never ambiently) to explore a
   // fresh region of the space.
@@ -191,37 +182,35 @@ TEST(EngineEquivalenceTest, RandomizedSpecsAreBitIdentical) {
 
     // Every run carries an obs::RunTracer, so each case also pins
     // determinism rule 9: the captured .otrace must be byte-identical
-    // across engines, not just the SimResult.
-    const std::string seq_trace =
-        trace_dir + "/equiv_seq_" + std::to_string(index) + ".otrace";
-    const std::string par_trace =
-        trace_dir + "/equiv_par_" + std::to_string(index) + ".otrace";
-
+    // across runs, not just the SimResult.
     api::RunSpec spec = spec_of(drawn, rng);
-    obs::RunTracer seq_tracer(seq_trace);
-    spec.observers = {&seq_tracer};
-    spec.sim_jobs = 0;
-    const api::RunReport sequential = api::simulate(spec, txs);
-    seq_tracer.finish();
+    std::string traces[2];
+    api::RunReport reports[2];
+    std::uint64_t records[2] = {0, 0};
+    for (int run = 0; run < 2; ++run) {
+      const std::string path = trace_dir + "/equiv_" + std::to_string(index) +
+                               "_" + std::to_string(run) + ".otrace";
+      obs::RunTracer tracer(path);
+      spec.observers = {&tracer};
+      reports[run] = api::simulate(spec, txs);
+      records[run] = tracer.finish();
+      traces[run] = slurp(path);
+      std::filesystem::remove(path);
+      ASSERT_TRUE(reports[run].sim.has_value());
+    }
 
-    obs::RunTracer par_tracer(par_trace);
-    spec.observers = {&par_tracer};
-    spec.sim_jobs = drawn.jobs;
-    const api::RunReport parallel = api::simulate(spec, txs);
-    par_tracer.finish();
+    const sim::SimResult& result = *reports[0].sim;
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(result.committed_txs + result.aborted_txs, result.total_txs);
+    EXPECT_EQ(result.total_txs, txs.size());
 
-    ASSERT_TRUE(sequential.sim.has_value());
-    ASSERT_TRUE(parallel.sim.has_value());
-    expect_equivalent(*sequential.sim, *parallel.sim);
-    EXPECT_EQ(parallel.shard_sizes, sequential.shard_sizes);
-    EXPECT_EQ(parallel.cross, sequential.cross);
-
-    EXPECT_EQ(par_tracer.total(), seq_tracer.total());
-    EXPECT_GT(seq_tracer.total(), 0u);
-    EXPECT_EQ(slurp(par_trace), slurp(seq_trace))
-        << "rule 9 violation: .otrace bytes differ across engines";
-    std::filesystem::remove(seq_trace);
-    std::filesystem::remove(par_trace);
+    expect_identical(result, *reports[1].sim);
+    EXPECT_EQ(reports[1].shard_sizes, reports[0].shard_sizes);
+    EXPECT_EQ(reports[1].cross, reports[0].cross);
+    EXPECT_GT(records[0], 0u);
+    EXPECT_EQ(records[1], records[0]);
+    EXPECT_EQ(traces[1], traces[0])
+        << "rule 9 violation: .otrace bytes differ across runs";
   }
 }
 

@@ -2,8 +2,8 @@
 // container (chunk round-trip, corruption rejection), the Chrome/Perfetto
 // export golden, span nesting over a real simulated run, MetricsRegistry
 // snapshot math (counters/gauges/histograms, JSON + Prometheus exposition),
-// histogram merge/p999 equivalence with the sorted-vector path, and the
-// PhaseProfiler enable/disable contract.
+// histogram merge/p999 equivalence with the sorted-vector path, the
+// PhaseProfiler enable/disable contract, and hostile-container rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/run_spec.hpp"
@@ -25,6 +27,8 @@
 #include "obs/otrace_reader.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/run_tracer.hpp"
+#include "trace/trace_format.hpp"
+#include "txmodel/serialization.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 
 namespace optchain {
@@ -178,6 +182,122 @@ TEST(OtraceReaderTest, RejectsCorruptTraces) {
   mutated[mutated.size() / 3] ^= 0x40;
   spit(flipped, mutated);
   EXPECT_THROW(drain(flipped), std::runtime_error);
+}
+
+// Hostile containers, built byte by byte: the OTRC reader shares the OPTX
+// footer-index parser, bounds each chunk's payload by its frame, and bounds
+// sample-record entry counts by the payload left — each violation is a
+// runtime_error, never an allocation the file cannot back.
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// "OTRC", version 1, chunk capacity 8 — the header every case shares.
+Bytes otrc_header() {
+  Bytes bytes(std::begin(obs::kOtraceMagic), std::end(obs::kOtraceMagic));
+  tx::write_varint(bytes, obs::kOtraceVersion);
+  tx::write_varint(bytes, 8);
+  return bytes;
+}
+
+/// Footer bytes: n_chunks, the entries, then the total.
+Bytes footer_of(const std::vector<obs::OtraceChunkInfo>& entries,
+                std::uint64_t total) {
+  Bytes footer;
+  tx::write_varint(footer, entries.size());
+  for (const obs::OtraceChunkInfo& entry : entries) {
+    tx::write_varint(footer, entry.offset);
+    tx::write_varint(footer, entry.first_index);
+    tx::write_varint(footer, entry.count);
+  }
+  tx::write_varint(footer, total);
+  return footer;
+}
+
+/// Writes `body` + `footer` + the fixed trailer pointing at the footer.
+std::string write_container(const std::string& name, Bytes body,
+                            const Bytes& footer) {
+  const std::uint64_t footer_offset = body.size();
+  body.insert(body.end(), footer.begin(), footer.end());
+  for (int shift = 0; shift < 64; shift += 8) {
+    body.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
+  }
+  body.insert(body.end(), std::begin(obs::kOtraceTrailerMagic),
+              std::end(obs::kOtraceTrailerMagic));
+  const std::string path = temp_path(name);
+  spit(path, std::string(body.begin(), body.end()));
+  return path;
+}
+
+/// Appends one checksummed chunk frame holding `records` records.
+void append_chunk(Bytes& body, std::uint64_t records, const Bytes& payload) {
+  tx::write_varint(body, records);
+  tx::write_varint(body, payload.size());
+  body.insert(body.end(), payload.begin(), payload.end());
+  tx::write_varint(body, trace::fnv1a64(payload));
+}
+
+TEST(OtraceHostileInputTest, HugePayloadClaimThrowsBeforeAllocating) {
+  Bytes body = otrc_header();
+  const std::uint64_t chunk_offset = body.size();
+  tx::write_varint(body, 1);                      // count
+  tx::write_varint(body, std::uint64_t{1} << 40);  // payload_bytes
+  body.resize(body.size() + 200, 0);
+  const std::string path = write_container(
+      "huge_payload.otrace", body, footer_of({{chunk_offset, 0, 1}}, 1));
+  EXPECT_THROW(drain(path), std::runtime_error);
+}
+
+TEST(OtraceHostileInputTest, HugeChunkCountThrows) {
+  Bytes footer;
+  tx::write_varint(footer, std::uint64_t{1} << 62);  // n_chunks
+  footer.resize(footer.size() + 16, 0);
+  const std::string path =
+      write_container("huge_count.otrace", otrc_header(), footer);
+  EXPECT_THROW(obs::OtraceReader{path}, std::runtime_error);
+}
+
+TEST(OtraceHostileInputTest, InconsistentFooterIndexThrows) {
+  Bytes body = otrc_header();
+  const std::uint64_t first = body.size();
+  body.resize(body.size() + 32, 0);
+  const std::uint64_t second = first + 16;
+  Bytes trailing = footer_of({{first, 0, 1}}, 1);
+  trailing.push_back(0);
+  const std::pair<const char*, Bytes> cases[] = {
+      {"non-dense first_index",
+       footer_of({{first, 0, 1}, {second, 5, 1}}, 6)},
+      {"zero count", footer_of({{first, 0, 0}}, 0)},
+      {"offsets out of order",
+       footer_of({{second, 0, 1}, {first, 1, 1}}, 2)},
+      {"total mismatch", footer_of({{first, 0, 1}}, 2)},
+      {"trailing footer bytes", trailing},
+  };
+  for (const auto& [name, footer] : cases) {
+    SCOPED_TRACE(name);
+    const std::string path =
+        write_container("bad_index.otrace", body, footer);
+    EXPECT_THROW(obs::OtraceReader{path}, std::runtime_error);
+  }
+}
+
+TEST(OtraceHostileInputTest, HugeSampleCountsThrow) {
+  // Correctly checksummed chunks whose one sample record claims 2^40
+  // entries in a payload of a few bytes.
+  for (const obs::TraceRecordType type :
+       {obs::TraceRecordType::kQueueSample,
+        obs::TraceRecordType::kLinkSample}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    Bytes payload(1 + 8, 0);  // type tag, f64 time
+    payload[0] = static_cast<std::uint8_t>(type);
+    tx::write_varint(payload, std::uint64_t{1} << 40);
+    payload.resize(payload.size() + 12, 0);
+    Bytes body = otrc_header();
+    const std::uint64_t chunk_offset = body.size();
+    append_chunk(body, 1, payload);
+    const std::string path = write_container(
+        "huge_sample.otrace", body, footer_of({{chunk_offset, 0, 1}}, 1));
+    EXPECT_THROW(drain(path), std::runtime_error);
+  }
 }
 
 // ---------------------------------------------------------- Chrome export
@@ -431,18 +551,18 @@ TEST(PhaseProfilerTest, ScopedPhasesAccumulateOnlyWhenEnabled) {
   obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
   profiler.reset();
   profiler.set_enabled(false);
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
   EXPECT_TRUE(profiler.snapshot().empty());
 
   profiler.set_enabled(true);
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
   { obs::ScopedPhase timer(obs::Phase::kBatchCommit); }
   profiler.set_enabled(false);
 
   const std::vector<obs::PhaseEntry> snapshot = profiler.snapshot();
   ASSERT_EQ(snapshot.size(), 2u);  // enum order, empty slots skipped
-  EXPECT_EQ(snapshot[0].phase, "sim.parallel.phase_a");
+  EXPECT_EQ(snapshot[0].phase, "place.batch.prepare");
   EXPECT_EQ(snapshot[0].calls, 2u);
   EXPECT_GE(snapshot[0].seconds, 0.0);
   EXPECT_EQ(snapshot[1].phase, "place.batch.commit");
@@ -452,35 +572,36 @@ TEST(PhaseProfilerTest, ScopedPhasesAccumulateOnlyWhenEnabled) {
   EXPECT_TRUE(profiler.snapshot().empty());
 }
 
-TEST(PhaseProfilerTest, ProfiledRunReportsParallelPhases) {
+TEST(PhaseProfilerTest, ProfiledRunReportsBatchPhases) {
   workload::BitcoinLikeGenerator generator({}, 5);
   const std::vector<tx::Transaction> txs = generator.generate(600);
   api::RunSpec spec;
   spec.method = "OptChain";
   spec.num_shards = 4;
-  spec.rate_tps = 600.0;
-  spec.commit_window_s = 5.0;
-  spec.sim_jobs = 2;
+  spec.place_jobs = 2;
+  spec.place_batch = 64;
   spec.profile = true;
-  const api::RunReport report = api::simulate(spec, txs);
-  ASSERT_TRUE(report.sim.has_value());
-  // The parallel engine ran, so both phases must show up in the profile.
-  bool saw_phase_a = false, saw_phase_b = false;
+  const api::RunReport report = api::place(spec, txs);
+  // The batched front-end ran, so its stages must show up in the profile.
+  bool saw_prepare = false, saw_score = false, saw_commit = false;
   for (const api::ProfileEntry& entry : report.profile) {
-    if (entry.phase == "sim.parallel.phase_a") saw_phase_a = true;
-    if (entry.phase == "sim.parallel.phase_b") saw_phase_b = true;
+    if (entry.phase == "place.batch.prepare") saw_prepare = true;
+    if (entry.phase == "place.batch.score") saw_score = true;
+    if (entry.phase == "place.batch.commit") saw_commit = true;
     EXPECT_GT(entry.calls, 0u);
   }
-  EXPECT_TRUE(saw_phase_a);
-  EXPECT_TRUE(saw_phase_b);
+  EXPECT_TRUE(saw_prepare);
+  EXPECT_TRUE(saw_score);
+  EXPECT_TRUE(saw_commit);
   // A profiled run is bit-identical to an unprofiled one.
   api::RunSpec plain = spec;
   plain.profile = false;
-  const api::RunReport baseline = api::simulate(plain, txs);
-  EXPECT_EQ(report.sim->total_events, baseline.sim->total_events);
-  EXPECT_DOUBLE_EQ(report.sim->avg_latency_s, baseline.sim->avg_latency_s);
+  const api::RunReport baseline = api::place(plain, txs);
+  EXPECT_TRUE(baseline.profile.empty());
+  EXPECT_EQ(report.cross, baseline.cross);
+  EXPECT_EQ(report.shard_sizes, baseline.shard_sizes);
   // And the profile rows render at the end of the report table.
-  EXPECT_NE(report.to_csv().find("profile sim.parallel.phase_b (s)"),
+  EXPECT_NE(report.to_csv().find("profile place.batch.commit (s)"),
             std::string::npos);
 }
 

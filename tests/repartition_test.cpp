@@ -2,8 +2,8 @@
 // controller cadence and budget semantics, deferred-migration accounting
 // (budget-starved plans drain across consecutive events before any
 // recompute), the Fennel streaming baseline's balance/quality bounds,
-// repartition × churn interleaving, sequential-vs-parallel bit-identity at
-// any sim_jobs, sweep-level determinism, and the ScenarioSpec rejections
+// repartition × churn interleaving, repeated-run determinism, sweep-level
+// determinism, and the ScenarioSpec rejections
 // (placement mode; warm_ratio — the Metis warm prefix assumes a static
 // assignment).
 #include <gtest/gtest.h>
@@ -222,53 +222,36 @@ TEST(RepartitionSimulationTest, UnlimitedBudgetNeverDefers) {
   EXPECT_EQ(report.sim->repartition_deferred_txs, 0u);
 }
 
-// ---------------------------------------------- engine bit-identity pin
+// ------------------------------------------------ windowed determinism
 
-/// The acceptance pin: a re-partition run is bit-identical between the
-/// sequential engine (sim_jobs = 0) and the parallel engine at 1 and 4
-/// workers — repartition ticks are barrier events like churn.
-TEST(RepartitionSimulationTest, BitIdenticalAtAnySimJobs) {
+/// Every method re-partitions under a windowed TaN snapshot, and a repeated
+/// run reproduces the same results and the same observer stream.
+TEST(RepartitionSimulationTest, WindowedRunsMigrateAndRepeatBitIdentically) {
   const auto txs = stream(2500, 23);
   for (const char* method : {"OptChain", "Greedy", "Fennel"}) {
     api::RunSpec spec = repartition_run_spec(method);
     spec.repartition.window = 1200;  // exercise the windowed snapshot too
-    std::vector<RepartitionRecorder> recorders(3);
+    std::vector<RepartitionRecorder> recorders(2);
     std::vector<api::RunReport> reports;
-    const std::uint32_t jobs[] = {0, 1, 4};
-    for (std::size_t i = 0; i < 3; ++i) {
-      spec.sim_jobs = jobs[i];
-      spec.observers = {&recorders[i]};
+    for (RepartitionRecorder& recorder : recorders) {
+      spec.observers = {&recorder};
       reports.push_back(api::simulate(spec, txs));
       ASSERT_TRUE(reports.back().sim.has_value()) << method;
     }
-    const sim::SimResult& sequential = *reports[0].sim;
-    EXPECT_GT(sequential.repartition_events, 0u) << method;
-    EXPECT_GT(sequential.repartition_migrated_txs, 0u) << method;
-    for (std::size_t i = 1; i < 3; ++i) {
-      const sim::SimResult& parallel = *reports[i].sim;
-      EXPECT_EQ(parallel.committed_txs, sequential.committed_txs) << method;
-      EXPECT_EQ(parallel.cross_txs, sequential.cross_txs) << method;
-      EXPECT_EQ(parallel.total_events, sequential.total_events) << method;
-      EXPECT_DOUBLE_EQ(parallel.avg_latency_s, sequential.avg_latency_s)
-          << method;
-      EXPECT_DOUBLE_EQ(parallel.max_latency_s, sequential.max_latency_s)
-          << method;
-      EXPECT_EQ(parallel.repartition_events, sequential.repartition_events)
-          << method;
-      EXPECT_EQ(parallel.repartition_migrated_txs,
-                sequential.repartition_migrated_txs)
-          << method;
-      EXPECT_EQ(parallel.repartition_migrated_utxos,
-                sequential.repartition_migrated_utxos)
-          << method;
-      EXPECT_EQ(parallel.repartition_deferred_txs,
-                sequential.repartition_deferred_txs)
-          << method;
-      EXPECT_EQ(parallel.final_shard_sizes, sequential.final_shard_sizes)
-          << method;
-      // Observer stream parity: same callbacks, same order, same args.
-      EXPECT_EQ(recorders[i].entries, recorders[0].entries) << method;
-    }
+    const sim::SimResult& first = *reports[0].sim;
+    const sim::SimResult& second = *reports[1].sim;
+    EXPECT_TRUE(first.completed) << method;
+    EXPECT_GT(first.repartition_events, 0u) << method;
+    EXPECT_GT(first.repartition_migrated_txs, 0u) << method;
+    EXPECT_EQ(second.committed_txs, first.committed_txs) << method;
+    EXPECT_EQ(second.total_events, first.total_events) << method;
+    EXPECT_DOUBLE_EQ(second.avg_latency_s, first.avg_latency_s) << method;
+    EXPECT_EQ(second.repartition_migrated_utxos,
+              first.repartition_migrated_utxos)
+        << method;
+    EXPECT_EQ(second.final_shard_sizes, first.final_shard_sizes) << method;
+    // Observer stream parity: same callbacks, same order, same args.
+    EXPECT_EQ(recorders[1].entries, recorders[0].entries) << method;
   }
 }
 
@@ -290,37 +273,19 @@ TEST(RepartitionChurnTest, InterleavesWithChurnAndAvoidsRetiredShards) {
     std::vector<std::uint32_t> retired;
   };
 
-  for (const std::uint32_t jobs : {0u, 4u}) {
-    ChangeRecorder changes;
-    spec.sim_jobs = jobs;
-    spec.observers = {&changes};
-    const api::RunReport report = api::simulate(spec, txs);
-    ASSERT_TRUE(report.sim.has_value());
-    const sim::SimResult& result = *report.sim;
-    EXPECT_TRUE(result.completed);
-    EXPECT_EQ(result.shard_changes, 2u);
-    EXPECT_GT(result.repartition_events, 0u);
-    EXPECT_GT(result.repartition_migrated_txs, 0u);
-    // The controller never moves a record onto a retired shard: its final
-    // size stays exactly zero after the bulk handoff.
-    ASSERT_EQ(changes.retired.size(), 1u);
-    EXPECT_EQ(result.final_shard_sizes[changes.retired[0]], 0u);
-  }
-
-  // Cross-engine: the interleaved run is itself bit-identical.
-  spec.sim_jobs = 0;
-  spec.observers = {};
-  const api::RunReport sequential = api::simulate(spec, txs);
-  spec.sim_jobs = 4;
-  const api::RunReport parallel = api::simulate(spec, txs);
-  EXPECT_EQ(sequential.sim->committed_txs, parallel.sim->committed_txs);
-  EXPECT_EQ(sequential.sim->total_events, parallel.sim->total_events);
-  EXPECT_DOUBLE_EQ(sequential.sim->avg_latency_s,
-                   parallel.sim->avg_latency_s);
-  EXPECT_EQ(sequential.sim->repartition_migrated_txs,
-            parallel.sim->repartition_migrated_txs);
-  EXPECT_EQ(sequential.sim->migrated_txs, parallel.sim->migrated_txs);
-  EXPECT_EQ(sequential.shard_sizes, parallel.shard_sizes);
+  ChangeRecorder changes;
+  spec.observers = {&changes};
+  const api::RunReport report = api::simulate(spec, txs);
+  ASSERT_TRUE(report.sim.has_value());
+  const sim::SimResult& result = *report.sim;
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.shard_changes, 2u);
+  EXPECT_GT(result.repartition_events, 0u);
+  EXPECT_GT(result.repartition_migrated_txs, 0u);
+  // The controller never moves a record onto a retired shard: its final
+  // size stays exactly zero after the bulk handoff.
+  ASSERT_EQ(changes.retired.size(), 1u);
+  EXPECT_EQ(result.final_shard_sizes[changes.retired[0]], 0u);
 }
 
 // ------------------------------------------------------ Fennel baseline

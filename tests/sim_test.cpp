@@ -471,6 +471,24 @@ TEST(SimulationTest, ShardSizesSumToTotal) {
   EXPECT_EQ(sum, txs.size());
 }
 
+// The memory-shape diagnostics bench_scale and perfbench report: a positive
+// heap peak, one event count per shard, every shard busy, and no more
+// shard-addressed events than the run dispatched in total.
+TEST(SimulationTest, HeapDiagnosticsAreSane) {
+  const auto txs = small_stream(1000);
+  Simulation sim(small_config(4, 500.0));
+  auto pipeline = random_pipeline(4);
+  const SimResult result = sim.run(txs, pipeline);
+  EXPECT_GT(result.event_heap_peak, 0u);
+  ASSERT_EQ(result.shard_event_counts.size(), 4u);
+  std::uint64_t sum = 0;
+  for (const auto count : result.shard_event_counts) {
+    EXPECT_GT(count, 0u);
+    sum += count;
+  }
+  EXPECT_LE(sum, result.total_events);
+}
+
 TEST(SimulationTest, HorizonAbortReportsIncomplete) {
   const auto txs = small_stream(2000);
   SimConfig config = small_config(1, 100000.0);  // 1 shard, hopeless rate

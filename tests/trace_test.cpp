@@ -4,7 +4,9 @@
 // direct-generator equivalence through placement, simulation and sweeps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -167,6 +169,125 @@ TEST(TraceCorruptionTest, ChecksumCatchesPayloadFlip) {
   std::uint64_t streamed = 0;
   while (window.next(transaction)) ++streamed;
   EXPECT_EQ(streamed, txs.size() - begin);
+  std::remove(path.c_str());
+}
+
+// Hostile containers, built byte by byte: every claim the footer or a
+// chunk frame makes is checked against the bytes that could hold it before
+// anything is allocated for it, and each violation is a runtime_error.
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// "OPTX", version 2, chunk capacity 64 — the header every case shares.
+Bytes optx_header() {
+  Bytes bytes(std::begin(kMagic), std::end(kMagic));
+  tx::write_varint(bytes, kTraceVersion);
+  tx::write_varint(bytes, 64);
+  return bytes;
+}
+
+/// Footer bytes: n_chunks, the entries, then the total.
+Bytes footer_of(const std::vector<ChunkInfo>& entries, std::uint64_t total) {
+  Bytes footer;
+  tx::write_varint(footer, entries.size());
+  for (const ChunkInfo& entry : entries) {
+    tx::write_varint(footer, entry.offset);
+    tx::write_varint(footer, entry.first_index);
+    tx::write_varint(footer, entry.count);
+  }
+  tx::write_varint(footer, total);
+  return footer;
+}
+
+/// Writes `body` + `footer` + the fixed trailer pointing at the footer.
+std::string write_container(const std::string& name, Bytes body,
+                            const Bytes& footer) {
+  const std::uint64_t footer_offset = body.size();
+  body.insert(body.end(), footer.begin(), footer.end());
+  for (int shift = 0; shift < 64; shift += 8) {
+    body.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
+  }
+  body.insert(body.end(), std::begin(kTrailerMagic), std::end(kTrailerMagic));
+  const std::string path = temp_path(name);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(body.data()),
+             static_cast<std::streamsize>(body.size()));
+  return path;
+}
+
+TEST(TraceHostileInputTest, HugePayloadClaimThrowsBeforeAllocating) {
+  // One chunk frame claiming ~1 TiB of payload inside a ~250-byte file.
+  Bytes body = optx_header();
+  const std::uint64_t chunk_offset = body.size();
+  tx::write_varint(body, 1);                      // count
+  tx::write_varint(body, std::uint64_t{1} << 40);  // payload_bytes
+  body.resize(body.size() + 200, 0);
+  const std::string path = write_container(
+      "huge_payload.optx", body, footer_of({{chunk_offset, 0, 1}}, 1));
+
+  TraceReader reader(path);  // the index itself is consistent
+  tx::Transaction transaction;
+  EXPECT_THROW(reader.next(transaction), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceHostileInputTest, HugeChunkCountThrows) {
+  Bytes footer;
+  tx::write_varint(footer, std::uint64_t{1} << 62);  // n_chunks
+  footer.resize(footer.size() + 16, 0);
+  const std::string path =
+      write_container("huge_count.optx", optx_header(), footer);
+  EXPECT_THROW(TraceReader{path}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceHostileInputTest, InconsistentFooterIndexThrows) {
+  Bytes body = optx_header();
+  const std::uint64_t first = body.size();
+  body.resize(body.size() + 32, 0);
+  const std::uint64_t second = first + 16;
+  struct Case {
+    const char* name;
+    Bytes footer;
+  };
+  Bytes trailing = footer_of({{first, 0, 1}}, 1);
+  trailing.push_back(0);
+  const Case cases[] = {
+      {"non-dense first_index",
+       footer_of({{first, 0, 1}, {second, 5, 1}}, 6)},
+      {"zero count", footer_of({{first, 0, 0}}, 0)},
+      {"offsets out of order",
+       footer_of({{second, 0, 1}, {first, 1, 1}}, 2)},
+      {"offset inside the footer",
+       footer_of({{body.size() + 4, 0, 1}}, 1)},
+      {"total mismatch", footer_of({{first, 0, 1}}, 2)},
+      {"trailing footer bytes", trailing},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = write_container("bad_index.optx", body, c.footer);
+    EXPECT_THROW(TraceReader{path}, std::runtime_error);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceHostileInputTest, HugeTransactionInputCountThrows) {
+  // A correctly checksummed chunk whose one transaction claims 2^40 inputs.
+  Bytes payload;
+  tx::write_varint(payload, std::uint64_t{1} << 40);
+  payload.resize(payload.size() + 8, 0);
+  Bytes body = optx_header();
+  const std::uint64_t chunk_offset = body.size();
+  tx::write_varint(body, 1);
+  tx::write_varint(body, payload.size());
+  body.insert(body.end(), payload.begin(), payload.end());
+  tx::write_varint(body, fnv1a64(payload));
+  const std::string path = write_container(
+      "huge_inputs.optx", body, footer_of({{chunk_offset, 0, 1}}, 1));
+
+  TraceReader reader(path);
+  tx::Transaction transaction;
+  EXPECT_THROW(reader.next(transaction), std::runtime_error);
   std::remove(path.c_str());
 }
 
